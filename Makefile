@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short verify cover chaos bench bench-analyzer bench-compare bench-fleet bench-fleet-compare bench-remedy bench-remedy-compare bench-qoestore bench-qoemon bench-all analyzer-golden sweep sweep-golden
+.PHONY: build test test-short verify cover chaos bench bench-analyzer bench-compare bench-fleet bench-fleet-compare bench-remedy bench-remedy-compare bench-qoestore bench-qoemon bench-all analyzer-golden sweep sweep-golden qoebench-check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,14 @@ verify: build
 	$(MAKE) chaos
 	$(MAKE) sharded-golden
 	$(MAKE) bench-remedy-compare
+	$(MAKE) qoebench-check
+
+# The repository benchmark (a separate Go module under qoebench/): its vet
+# and unit tests, then one short run of every workload at seed 1, which exits
+# non-zero when any checked output differs from qoebench/golden.json.
+qoebench-check:
+	cd qoebench && $(GO) vet ./... && $(GO) test ./...
+	bash qoebench/run.sh --workload all --seed 1 --seconds 2 --trace 0
 
 # The sharded fleet's determinism contract, pinned at both extremes of
 # runtime parallelism: the multi-cell mobility golden must render

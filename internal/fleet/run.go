@@ -23,8 +23,9 @@ type Fleet struct {
 	// topology cell, synchronized at X2Latency lookahead barriers.
 	Shards []*Shard
 	Topo   *radio.Topology
-	// Profiler is the kernel-wide wall-clock profiler (nil unless
-	// WithProfiler; sharded runs profile shard 0's kernel).
+	// Profiler is the wall-clock kernel profiler (nil unless WithProfiler).
+	// Sharded runs profile every shard kernel separately, and RunTo
+	// replaces Profiler with their merge when it returns.
 	Profiler *obs.Profiler
 
 	scen Scenario
@@ -115,6 +116,13 @@ func (f *Fleet) RunTo(horizon time.Duration) {
 		f.exchange(end)
 		f.deliverCrossShard(end)
 	})
+	if f.Profiler != nil {
+		merged := obs.NewProfiler()
+		for _, sh := range f.Shards {
+			merged.Merge(sh.prof)
+		}
+		f.Profiler = merged
+	}
 }
 
 // now returns the current virtual time across either mode.

@@ -26,6 +26,8 @@ type Shard struct {
 	// Cells[c] is this shard's local instance of topology cell c.
 	Cells []*radio.Cell
 	UEs   []*UE
+
+	prof *obs.Profiler // this kernel's profiler (nil unless WithProfiler)
 }
 
 // minCellShare floors the epoch capacity share so a briefly overloaded
@@ -132,12 +134,15 @@ func buildSharded(scen Scenario, o options) (*Fleet, error) {
 	}
 
 	if o.profiler {
-		// Wall-clock profiling is inherently non-deterministic; attach it to
-		// shard 0's kernel as a representative sample.
+		// Shard kernels run concurrently, so each gets its own profiler;
+		// RunTo merges them into f.Profiler.
 		f.Profiler = obs.NewProfiler()
-		f.Shards[0].K.SetProfiler(f.Profiler)
-		for _, ue := range f.UEs {
-			ue.Profiler = f.Profiler
+		for _, sh := range f.Shards {
+			sh.prof = obs.NewProfiler()
+			sh.K.SetProfiler(sh.prof)
+			for _, ue := range sh.UEs {
+				ue.Profiler = sh.prof
+			}
 		}
 	}
 

@@ -115,6 +115,39 @@ func TestShardedStaticPinned(t *testing.T) {
 	}
 }
 
+// TestShardedProfilerCoversEveryShard: with parallel shard workers every
+// shard kernel is profiled, and the merged profile counts each dispatched
+// event exactly once, also across successive RunTo calls.
+func TestShardedProfilerCoversEveryShard(t *testing.T) {
+	scen := fleet.Scenario{
+		Seed:     5,
+		Topology: &fleet.TopologySpec{Cells: 2},
+		UEs:      fleet.UniformUEs(4),
+		Workload: fleet.BrowseWorkload{Pages: 1, ThinkTime: 5 * time.Second},
+	}
+	f, err := fleet.Build(scen, fleet.WithWorkers(2), fleet.WithProfiler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Drive()
+	for _, horizon := range []time.Duration{15 * time.Second, 30 * time.Second} {
+		f.RunTo(horizon)
+		var processed, profiled uint64
+		for _, sh := range f.Shards {
+			if sh.K.Processed() == 0 {
+				t.Fatalf("shard %d dispatched no events", sh.Index)
+			}
+			processed += sh.K.Processed()
+		}
+		for _, s := range f.Profiler.Sites() {
+			profiled += s.Count
+		}
+		if profiled != processed {
+			t.Fatalf("at %v: profiler counted %d dispatches, shard kernels processed %d", horizon, profiled, processed)
+		}
+	}
+}
+
 // TestShardedEmitCellLabels: events from a sharded mobile run land in the
 // store keyed by real per-cell labels, not a single constant.
 func TestShardedEmitCellLabels(t *testing.T) {

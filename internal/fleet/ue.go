@@ -63,8 +63,8 @@ type UE struct {
 
 	// Trace, Metrics, and Profiler are the attached observability sinks
 	// (nil unless requested). Each UE has its own trace bus and registry so
-	// concurrent UEs never share a correlation scope; the profiler is
-	// kernel-wide and therefore shared.
+	// concurrent UEs never share a correlation scope; the profiler belongs
+	// to the UE's kernel and is shared by every UE on it.
 	Trace    *obs.Trace
 	Metrics  *obs.Registry
 	Profiler *obs.Profiler

@@ -272,4 +272,17 @@ func TestProfiler(t *testing.T) {
 	if rep := p.Report(1); !strings.Contains(rep, "b") {
 		t.Fatalf("report = %q", rep)
 	}
+
+	q := NewProfiler()
+	q.Observe("a", 4*time.Millisecond)
+	q.Observe("c", time.Millisecond)
+	p.Merge(q)
+	p.Merge(nil)
+	sites = p.Sites()
+	if len(sites) != 3 || sites[0].Site != "a" || sites[0].Count != 3 || sites[0].Wall != 7*time.Millisecond {
+		t.Fatalf("merged sites = %+v", sites)
+	}
+	if q.Sites()[0].Count != 1 {
+		t.Fatal("Merge modified its argument")
+	}
 }

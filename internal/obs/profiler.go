@@ -34,13 +34,32 @@ func (p *Profiler) Observe(site string, wall time.Duration) {
 	if p == nil {
 		return
 	}
-	s, ok := p.sites[site]
-	if !ok {
-		s = &SiteStats{Site: site}
-		p.sites[site] = s
-	}
+	s := p.site(site)
 	s.Count++
 	s.Wall += wall
+}
+
+// Merge adds o's per-site dispatch counts and wall time into p. A profiler
+// is single-goroutine, so kernels that run concurrently each get their own
+// and are merged once they stop.
+func (p *Profiler) Merge(o *Profiler) {
+	if p == nil || o == nil {
+		return
+	}
+	for name, os := range o.sites {
+		s := p.site(name)
+		s.Count += os.Count
+		s.Wall += os.Wall
+	}
+}
+
+func (p *Profiler) site(name string) *SiteStats {
+	s, ok := p.sites[name]
+	if !ok {
+		s = &SiteStats{Site: name}
+		p.sites[name] = s
+	}
+	return s
 }
 
 // Sites returns all sites sorted by cumulative wall time, descending.

@@ -2,6 +2,7 @@ package uisim
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/simtime"
@@ -11,7 +12,9 @@ import (
 // after one parsing pass. It reflects the tree state at the moment the parse
 // started.
 type Snapshot struct {
-	At    simtime.Time // parse completion time
+	At simtime.Time // parse completion time
+	// Views is the flattened tree, shared with every other snapshot of the
+	// same tree version: read it, never write to it.
 	Views []SnapView
 }
 
@@ -57,7 +60,7 @@ func (s *Snapshot) VisibleTextMatch(sig Signature, substr string) bool {
 			(sig.Class == "" || v.Class == sig.Class) &&
 			(sig.ID == "" || v.ID == sig.ID) &&
 			(sig.Desc == "" || v.Desc == sig.Desc) &&
-			contains(v.Text, substr) {
+			strings.Contains(v.Text, substr) {
 			return true
 		}
 	}
@@ -68,16 +71,7 @@ func (s *Snapshot) VisibleTextMatch(sig Signature, substr string) bool {
 func (s *Snapshot) ContainsText(substr string) bool {
 	for i := range s.Views {
 		v := &s.Views[i]
-		if v.Shown && len(substr) > 0 && contains(v.Text, substr) {
-			return true
-		}
-	}
-	return false
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
+		if v.Shown && len(substr) > 0 && strings.Contains(v.Text, substr) {
 			return true
 		}
 	}
@@ -112,18 +106,33 @@ type Instrumentation struct {
 	parseCPU time.Duration
 	polling  bool
 
-	// Snapshot recycling: parses are frequent (a WaitUntil polls back to
-	// back) and each flattens the whole tree, so snapshots and their Views
-	// backing arrays are reused instead of reallocated. visitFn is the one
-	// walk visitor, allocated once, appending into visitTarget.
-	snapFree    []*Snapshot
-	visitTarget *Snapshot
-	visitFn     func(*View)
+	// parseFree recycles in-flight parse requests: parses are frequent (a
+	// WaitUntil polls back to back), so each reuses a request whose
+	// completion callback was bound once.
+	parseFree []*parseReq
+}
+
+// parseReq is one in-flight parse: the snapshot it took and the callback
+// awaiting it. fire is complete bound to the request.
+type parseReq struct {
+	in   *Instrumentation
+	snap Snapshot
+	cb   func(*Snapshot)
+	fire func()
+}
+
+// complete delivers the snapshot and returns the request to the pool.
+func (r *parseReq) complete() {
+	in := r.in
+	r.snap.At = in.k.Now()
+	r.cb(&r.snap)
+	r.snap, r.cb = Snapshot{}, nil
+	in.parseFree = append(in.parseFree, r)
 }
 
 // NewInstrumentation attaches an instrumentation to a screen.
 func NewInstrumentation(k *simtime.Kernel, screen *Screen) *Instrumentation {
-	in := &Instrumentation{
+	return &Instrumentation{
 		k:            k,
 		screen:       screen,
 		parseBase:    2 * time.Millisecond,
@@ -131,13 +140,6 @@ func NewInstrumentation(k *simtime.Kernel, screen *Screen) *Instrumentation {
 		inputLatency: 2 * time.Millisecond,
 		cpuFraction:  0.05,
 	}
-	in.visitFn = func(v *View) {
-		t := in.visitTarget
-		t.Views = append(t.Views, SnapView{
-			Class: v.Class, ID: v.ID, Desc: v.Desc, Text: v.text, Shown: v.Shown(),
-		})
-	}
-	return in
 }
 
 // Screen returns the instrumented screen.
@@ -148,32 +150,7 @@ func (in *Instrumentation) ParseCPU() time.Duration { return in.parseCPU }
 
 // ParseTime returns the current cost of one layout-tree parse.
 func (in *Instrumentation) ParseTime() time.Duration {
-	return in.parseBase + time.Duration(in.screen.Root().Count())*in.parsePerView
-}
-
-// snapshotNow flattens the live tree (state as of now) into a pooled
-// snapshot. The caller must hand the snapshot back via releaseSnap once its
-// consumer is done with it.
-func (in *Instrumentation) snapshotNow() *Snapshot {
-	var snap *Snapshot
-	if n := len(in.snapFree); n > 0 {
-		snap = in.snapFree[n-1]
-		in.snapFree[n-1] = nil
-		in.snapFree = in.snapFree[:n-1]
-		snap.At = 0
-		snap.Views = snap.Views[:0]
-	} else {
-		snap = &Snapshot{}
-	}
-	in.visitTarget = snap
-	in.screen.Root().walk(in.visitFn)
-	in.visitTarget = nil
-	return snap
-}
-
-// releaseSnap returns a snapshot (and its Views capacity) to the pool.
-func (in *Instrumentation) releaseSnap(s *Snapshot) {
-	in.snapFree = append(in.snapFree, s)
+	return in.parseBase + time.Duration(len(in.screen.flatten()))*in.parsePerView
 }
 
 // noteAction allocates a correlation ID for a user input, makes it the
@@ -191,19 +168,23 @@ func (in *Instrumentation) noteAction(name string) {
 
 // Parse performs one parsing pass: the result reflects the tree at call
 // time and becomes available one ParseTime later, when cb is invoked. The
-// snapshot is recycled when cb returns — read what you need inside the
-// callback; do not retain the *Snapshot (or subslices of its Views) beyond
-// it.
+// *Snapshot is recycled when cb returns, so do not retain it beyond the
+// callback. Its Views may be kept: they are shared and read-only, and later
+// mutations never reach them.
 func (in *Instrumentation) Parse(cb func(*Snapshot)) {
 	in.screen.parses.Inc()
-	snap := in.snapshotNow()
+	var r *parseReq
+	if n := len(in.parseFree); n > 0 {
+		r = in.parseFree[n-1]
+		in.parseFree = in.parseFree[:n-1]
+	} else {
+		r = &parseReq{in: in}
+		r.fire = r.complete
+	}
+	r.snap.Views, r.cb = in.screen.flatten(), cb
 	cost := in.ParseTime()
 	in.parseCPU += time.Duration(float64(cost) * in.cpuFraction)
-	in.k.After(cost, func() {
-		snap.At = in.k.Now()
-		cb(snap)
-		in.releaseSnap(snap)
-	})
+	in.k.After(cost, r.fire)
 }
 
 // WaitResult reports how a WaitUntil ended.
@@ -213,11 +194,13 @@ type WaitResult struct {
 	Parses   int          // number of parsing passes performed
 }
 
-// WaitUntil polls the layout tree back-to-back (each poll costs one
-// ParseTime) until cond holds on a snapshot or the timeout expires. This is
-// the wait component of the see-interact-wait paradigm; the returned At is
-// the raw measured timestamp t_m = t_ui + t_offset + t_parsing, which the
-// analyzer later calibrates by subtracting 3/2 t_parsing.
+// WaitUntil polls the layout tree until cond holds on a snapshot or the
+// timeout expires. Each poll costs one ParseTime; polls run back-to-back
+// unless a pollInterval (SetPollInterval) spaces their starts further
+// apart. This is the wait component of the see-interact-wait paradigm; the
+// returned At is the raw measured timestamp t_m = t_ui + t_offset +
+// t_parsing, which the analyzer later calibrates by subtracting 3/2
+// t_parsing.
 func (in *Instrumentation) WaitUntil(cond func(*Snapshot) bool, timeout time.Duration, done func(WaitResult)) {
 	if in.polling {
 		panic("uisim: concurrent WaitUntil on one instrumentation")

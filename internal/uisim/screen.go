@@ -28,6 +28,13 @@ type Screen struct {
 	watchers []*screenWatcher
 	onDraw   []func(at simtime.Time)
 
+	// flat is the tree flattened in DFS order as of version flatVer. Every
+	// snapshot parsed at that version shares it read-only; the first parse
+	// after a mutation rebuilds it into a fresh slice, so snapshots taken
+	// earlier keep the state they saw.
+	flat    []SnapView
+	flatVer uint64
+
 	// appCPU accumulates the app's modeled CPU busy time, used for the
 	// Table 3 overhead measurement.
 	appCPU time.Duration
@@ -67,6 +74,28 @@ func (s *Screen) Root() *View { return s.root }
 
 // Version returns the tree mutation counter.
 func (s *Screen) Version() uint64 { return s.version }
+
+// flatten returns the tree as of now, flattened in DFS order, rebuilding it
+// only if the tree changed since the last call. The result is shared: the
+// caller must not write to it.
+func (s *Screen) flatten() []SnapView {
+	if s.flat == nil || s.flatVer != s.version {
+		s.flat = appendFlat(make([]SnapView, 0, len(s.flat)), s.root, true)
+		s.flatVer = s.version
+	}
+	return s.flat
+}
+
+// appendFlat appends v's subtree to dst in DFS order; shown is whether
+// every ancestor of v is visible.
+func appendFlat(dst []SnapView, v *View, shown bool) []SnapView {
+	shown = shown && v.vis
+	dst = append(dst, SnapView{Class: v.Class, ID: v.ID, Desc: v.Desc, Text: v.text, Shown: shown})
+	for _, c := range v.children {
+		dst = appendFlat(dst, c, shown)
+	}
+	return dst
+}
 
 // DrawnVersion returns the version currently visible on screen.
 func (s *Screen) DrawnVersion() uint64 { return s.drawnVer }

@@ -1,6 +1,7 @@
 package uisim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -171,13 +172,109 @@ func TestSnapshotReflectsParseStartState(t *testing.T) {
 	label.SetText("before")
 	root.AddChild(label)
 	in := NewInstrumentation(k, s)
-	var got string
-	in.Parse(func(snap *Snapshot) { got = snap.Find(Signature{ID: "label"}).Text })
-	// Mutate after the parse begins but before it completes.
+	var first, second *SnapView
+	var firstViews []SnapView
+	in.Parse(func(snap *Snapshot) {
+		first, firstViews = snap.Find(Signature{ID: "label"}), snap.Views
+	})
+	// Mutate after the parse begins but before it completes, then start a
+	// second parse that sees the new tree while the first is in flight.
 	label.SetText("after")
+	root.AddChild(NewView(ClassButton, "late", ""))
+	in.Parse(func(snap *Snapshot) { second = snap.Find(Signature{ID: "label"}) })
 	k.Run()
-	if got != "before" {
-		t.Fatalf("snapshot text = %q, want state at parse start", got)
+	if first.Text != "before" || len(firstViews) != 2 {
+		t.Fatalf("first snapshot = %+v, want the 2-view tree at parse start", firstViews)
+	}
+	if second.Text != "after" {
+		t.Fatalf("second snapshot text = %q, want the mutated tree", second.Text)
+	}
+}
+
+// flatRef flattens the tree without the screen's cache, asking every view
+// whether it and its ancestors are visible.
+func flatRef(root *View) []SnapView {
+	var out []SnapView
+	root.walk(func(v *View) {
+		out = append(out, SnapView{Class: v.Class, ID: v.ID, Desc: v.Desc, Text: v.text, Shown: v.Shown()})
+	})
+	return out
+}
+
+// parseNow runs one parse to completion and returns its views.
+func parseNow(t *testing.T, k *simtime.Kernel, in *Instrumentation) []SnapView {
+	t.Helper()
+	var got []SnapView
+	in.Parse(func(s *Snapshot) { got = s.Views })
+	k.Run()
+	if got == nil {
+		t.Fatal("parse callback never fired")
+	}
+	return got
+}
+
+func TestSnapshotTracksEveryMutator(t *testing.T) {
+	k := simtime.NewKernel(15)
+	s, root := newScreen(k)
+	ins := []*Instrumentation{NewInstrumentation(k, s), NewInstrumentation(k, s)}
+	list := NewView(ClassListView, "feed", "news feed")
+	item := NewView(ClassTextView, "item", "first")
+	steps := []struct {
+		name   string
+		mutate func()
+		hidden int // views not shown after the step
+	}{
+		{"initial", func() {}, 0},
+		{"AddChild", func() { root.AddChild(list) }, 0},
+		{"nested AddChild", func() { list.AddChild(item) }, 0},
+		{"SetText", func() { item.SetText("loaded") }, 0},
+		{"PrependChild", func() { list.PrependChild(NewView(ClassTextView, "item", "new")) }, 0},
+		{"ancestor SetVisible(false)", func() { list.SetVisible(false) }, 3},
+		{"ancestor SetVisible(true)", func() { list.SetVisible(true) }, 0},
+		{"RemoveChild", func() { list.RemoveChild(item) }, 0},
+		{"ClearChildren", func() { list.ClearChildren() }, 0},
+	}
+	for _, st := range steps {
+		st.mutate()
+		want := flatRef(root)
+		for i, in := range ins {
+			got := parseNow(t, k, in)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: instrumentation %d parsed %+v, want %+v", st.name, i, got, want)
+			}
+			hidden := 0
+			for _, v := range got {
+				if !v.Shown {
+					hidden++
+				}
+			}
+			if hidden != st.hidden {
+				t.Fatalf("%s: %d views not shown, want %d", st.name, hidden, st.hidden)
+			}
+			if pt, want := in.ParseTime(), in.parseBase+time.Duration(root.Count())*in.parsePerView; pt != want {
+				t.Fatalf("%s: ParseTime = %v, want %v", st.name, pt, want)
+			}
+		}
+	}
+}
+
+// TestSteadyStatePollAllocatesNothing: once the tree stops changing, a
+// WaitUntil poll (parse, completion event, condition check, next poll)
+// allocates nothing, at back-to-back and at spaced cadence.
+func TestSteadyStatePollAllocatesNothing(t *testing.T) {
+	for _, interval := range []time.Duration{0, 50 * time.Millisecond} {
+		k := simtime.NewKernel(16)
+		s, root := newScreen(k)
+		root.AddChild(NewView(ClassProgressBar, "bar", ""))
+		in := NewInstrumentation(k, s)
+		in.SetPollInterval(interval)
+		in.WaitUntil(func(sn *Snapshot) bool { return !sn.VisibleMatch(Signature{ID: "bar"}) },
+			time.Hour, func(WaitResult) {})
+		k.RunFor(time.Second) // fill the request pool and the kernel's free list
+		step := max(interval, in.ParseTime())
+		if allocs := testing.AllocsPerRun(100, func() { k.RunFor(step) }); allocs != 0 {
+			t.Fatalf("interval %v: steady-state poll allocates %v times, want 0", interval, allocs)
+		}
 	}
 }
 

@@ -28,7 +28,9 @@ const (
 )
 
 // View is one node of the layout tree. Mutations must go through the setter
-// methods so the owning screen can track invalidation.
+// methods so the owning screen can track invalidation. Class, ID and Desc
+// are fixed once the view is attached: the screen reuses its flattened tree
+// until the next setter call, so a direct write to them would go unseen.
 type View struct {
 	Class string // Android class name
 	ID    string // resource id, e.g. "com.facebook.katana:id/feed_list"
