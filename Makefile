@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short verify cover chaos bench bench-analyzer bench-compare bench-fleet bench-fleet-compare bench-remedy bench-remedy-compare bench-qoestore bench-qoemon bench-all analyzer-golden sweep sweep-golden qoebench-check
+.PHONY: build test test-short verify cover chaos fuzz bench bench-analyzer bench-compare bench-fleet bench-fleet-compare bench-remedy bench-remedy-compare bench-qoestore bench-qoemon bench-all analyzer-golden sweep sweep-golden qoebench-check
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,7 @@ verify: build
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) chaos
+	$(MAKE) fuzz
 	$(MAKE) sharded-golden
 	$(MAKE) bench-remedy-compare
 	$(MAKE) qoebench-check
@@ -59,6 +60,12 @@ cover:
 		if [ "$$(awk -v p=$$pct -v f=$(COVER_FLOOR) 'BEGIN{print (p>=f)?1:0}')" != 1 ]; then \
 			echo "cover: $$pkg at $$pct% is under the $(COVER_FLOOR)% floor"; exit 1; fi; \
 	done
+
+# Short fuzz runs of the outside-facing decoders. FuzzMsgConnFeed checks the
+# in-place message deframer against the reference copy-everything deframer on
+# arbitrary bytes cut at arbitrary points.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzMsgConnFeed$$' -fuzztime 10s ./internal/netsim/
 
 # Crash/overload drills for the durable QoE store: simulated SIGKILLs with
 # zero acked-event loss, torn and corrupt WAL tails, slow-consumer

@@ -1,12 +1,15 @@
 package analyzer
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/core/qoe"
 	"repro/internal/qxdm"
+	"repro/internal/radio"
 	"repro/internal/simtime"
 )
 
@@ -35,6 +38,8 @@ type CrossLayer struct {
 
 	ulPackets []MappedPacket
 	dlPackets []MappedPacket
+
+	timeline *pduTimeline // nil when the session has no radio log
 }
 
 func (c *CrossLayer) warn(format string, args ...any) {
@@ -171,66 +176,47 @@ type NetworkBreakdown struct {
 //   - IP-to-RLC delay: for mapped packets whose first PDU starts a burst,
 //     the gap between the IP timestamp and that first PDU.
 //   - Other: the remainder (core network, server processing, TCP dynamics).
+//
+// Every radio lookup is a binary search on the CrossLayer's time-ordered
+// PDU view, so a call costs O(log P) plus the records inside the window.
 func (c *CrossLayer) BreakdownWindow(from, to simtime.Time) NetworkBreakdown {
 	bd := NetworkBreakdown{Total: time.Duration(to - from)}
-	if c.Session.Radio == nil || bd.Total <= 0 {
+	tl := c.timeline
+	if tl == nil || bd.Total <= 0 {
 		bd.Other = bd.Total
 		return bd
 	}
-	rtt := MedianOTARTT(c.Session.Radio)
+	rtt := tl.rtt
 	if rtt <= 0 {
 		rtt = c.Session.Profile.OTARTT
 	}
 
 	// All data PDU transmissions in the window (retransmissions included:
 	// they occupy the channel too).
-	var times []simtime.Time
-	for _, p := range c.Session.Radio.PDUs {
-		if p.At >= from && p.At <= to {
-			times = append(times, p.At)
-		}
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	bd.PDUCount = len(times)
+	lo, hi := tl.pduRange(from, to)
+	bd.PDUCount = hi - lo
 
 	// Burst analysis.
-	burstHeads := make(map[simtime.Time]bool)
-	for i, t := range times {
-		if i == 0 || time.Duration(t-times[i-1]) >= rtt {
+	for i := lo; i < hi; i++ {
+		if i == lo {
 			bd.Bursts++
-			burstHeads[t] = true
+		} else if gap := time.Duration(tl.pdus[i].At - tl.pdus[i-1].At); gap >= rtt {
+			bd.Bursts++
 		} else {
-			bd.RLCTransmission += time.Duration(t - times[i-1])
+			bd.RLCTransmission += gap
 		}
 	}
 
 	// Explicit STATUS waits.
-	for _, st := range c.Session.Radio.Statuses {
-		if st.At < from || st.At > to {
-			continue
-		}
-		// Last polled data PDU before this status.
-		var pollAt simtime.Time = -1
-		var anyAfterPoll bool
-		for _, p := range c.Session.Radio.PDUs {
-			if p.At > st.At || p.At < from {
-				continue
-			}
-			if p.Dir == st.Dir && p.Poll {
-				pollAt = p.At
-				anyAfterPoll = false
-			} else if pollAt >= 0 && p.At > pollAt {
-				anyAfterPoll = true
-			}
-		}
-		if pollAt >= 0 && !anyAfterPoll {
-			bd.FirstHopOTA += time.Duration(st.At - pollAt)
-		}
+	slo, shi := tl.statusRange(from, to)
+	for _, st := range tl.statuses[slo:shi] {
+		bd.FirstHopOTA += tl.statusWait(st, lo)
 	}
 
 	// IP-to-RLC: burst-starting mapped packets.
-	bd.IPToRLC += c.ipToRLC(c.ulPackets, c.ULMap, c.ULPDUs, burstHeads, from, to)
-	bd.IPToRLC += c.ipToRLC(c.dlPackets, c.DLMap, c.DLPDUs, burstHeads, from, to)
+	head := func(t simtime.Time) bool { return tl.burstHead(t, lo, hi, rtt) }
+	bd.IPToRLC += ipToRLC(c.ulPackets, c.ULMap, c.ULPDUs, head, from, to)
+	bd.IPToRLC += ipToRLC(c.dlPackets, c.DLMap, c.DLPDUs, head, from, to)
 
 	used := bd.IPToRLC + bd.RLCTransmission + bd.FirstHopOTA
 	if used < bd.Total {
@@ -239,14 +225,14 @@ func (c *CrossLayer) BreakdownWindow(from, to simtime.Time) NetworkBreakdown {
 	return bd
 }
 
-func (c *CrossLayer) ipToRLC(packets []MappedPacket, m MappingResult, pdus []qxdm.PDURecord, burstHeads map[simtime.Time]bool, from, to simtime.Time) time.Duration {
+func ipToRLC(packets []MappedPacket, m MappingResult, pdus []qxdm.PDURecord, burstHead func(simtime.Time) bool, from, to simtime.Time) time.Duration {
 	var sum time.Duration
 	for i, pkt := range packets {
 		if pkt.At < from || pkt.At > to || i >= len(m.Packets) || !m.Packets[i].Mapped {
 			continue
 		}
 		first := pdus[m.Packets[i].FirstPDU]
-		if !burstHeads[first.At] {
+		if !burstHead(first.At) {
 			continue
 		}
 		if d := time.Duration(first.At - pkt.At); d > 0 {
@@ -254,6 +240,119 @@ func (c *CrossLayer) ipToRLC(packets []MappedPacket, m MappingResult, pdus []qxd
 		}
 	}
 	return sum
+}
+
+// pduTimeline is a time-ordered view of a radio log, built once per
+// CrossLayer so BreakdownWindow never rescans the log.
+type pduTimeline struct {
+	// pdus and statuses are the log's own slices when already in At order
+	// (always true for qxdm.Monitor output), else stable-sorted copies.
+	pdus     []qxdm.PDURecord
+	statuses []qxdm.StatusRecord
+	// polls holds, per direction with polling PDUs, the index of the last
+	// polling PDU at or before each index of pdus.
+	polls []dirPolls
+	// rtt is the log's MedianOTARTT (0 when it has no samples).
+	rtt time.Duration
+}
+
+type dirPolls struct {
+	dir  radio.Direction
+	last []int32 // -1 before the direction's first poll
+}
+
+func newPDUTimeline(log *qxdm.Log) *pduTimeline {
+	tl := &pduTimeline{
+		pdus:     sortedByAt(log.PDUs, func(p qxdm.PDURecord) simtime.Time { return p.At }),
+		statuses: sortedByAt(log.Statuses, func(s qxdm.StatusRecord) simtime.Time { return s.At }),
+		rtt:      MedianOTARTT(log),
+	}
+	for _, p := range tl.pdus {
+		if p.Poll && tl.pollsOf(p.Dir) == nil {
+			tl.polls = append(tl.polls, dirPolls{dir: p.Dir})
+		}
+	}
+	for d := range tl.polls {
+		dp := &tl.polls[d]
+		dp.last = make([]int32, len(tl.pdus))
+		cur := int32(-1)
+		for i, p := range tl.pdus {
+			if p.Poll && p.Dir == dp.dir {
+				cur = int32(i)
+			}
+			dp.last[i] = cur
+		}
+	}
+	return tl
+}
+
+// sortedByAt returns recs itself when it is already in At order, else a
+// stable-sorted copy (records at equal times keep their log order).
+func sortedByAt[T any](recs []T, at func(T) simtime.Time) []T {
+	byAt := func(a, b T) int { return cmp.Compare(at(a), at(b)) }
+	if slices.IsSortedFunc(recs, byAt) {
+		return recs
+	}
+	out := slices.Clone(recs)
+	slices.SortStableFunc(out, byAt)
+	return out
+}
+
+func (tl *pduTimeline) pollsOf(dir radio.Direction) *dirPolls {
+	for i := range tl.polls {
+		if tl.polls[i].dir == dir {
+			return &tl.polls[i]
+		}
+	}
+	return nil
+}
+
+// pduAfter returns the index of the first PDU later than t.
+func (tl *pduTimeline) pduAfter(t simtime.Time) int {
+	return sort.Search(len(tl.pdus), func(i int) bool { return tl.pdus[i].At > t })
+}
+
+// pduRange returns the index range of the PDUs inside [from, to].
+func (tl *pduTimeline) pduRange(from, to simtime.Time) (lo, hi int) {
+	lo = sort.Search(len(tl.pdus), func(i int) bool { return tl.pdus[i].At >= from })
+	return lo, tl.pduAfter(to)
+}
+
+// statusRange returns the index range of the STATUS records inside [from, to].
+func (tl *pduTimeline) statusRange(from, to simtime.Time) (lo, hi int) {
+	lo = sort.Search(len(tl.statuses), func(i int) bool { return tl.statuses[i].At >= from })
+	hi = sort.Search(len(tl.statuses), func(i int) bool { return tl.statuses[i].At > to })
+	return lo, hi
+}
+
+// statusWait is st's explicit first-hop wait: the time from the last
+// polling PDU of st's direction in [pdus[lo].At, st.At] to st, counted only
+// when no later PDU of either direction went out in between.
+func (tl *pduTimeline) statusWait(st qxdm.StatusRecord, lo int) time.Duration {
+	hi := tl.pduAfter(st.At)
+	dp := tl.pollsOf(st.Dir)
+	if hi <= lo || dp == nil {
+		return 0
+	}
+	j := dp.last[hi-1]
+	if int(j) < lo {
+		return 0
+	}
+	pollAt := tl.pdus[j].At
+	if tl.pdus[hi-1].At > pollAt {
+		return 0 // a data PDU followed the poll: the device did not block
+	}
+	return time.Duration(st.At - pollAt)
+}
+
+// burstHead reports whether a PDU at time t starts a burst of the window
+// pdus[lo:hi] under burst threshold rtt.
+func (tl *pduTimeline) burstHead(t simtime.Time, lo, hi int, rtt time.Duration) bool {
+	i := lo + sort.Search(hi-lo, func(k int) bool { return tl.pdus[lo+k].At >= t })
+	if i == hi || tl.pdus[i].At != t {
+		return false
+	}
+	return i == lo || time.Duration(t-tl.pdus[i-1].At) >= rtt
 }
 
 // FlowToHostInWindow returns the hostname of the responsible flow, using

@@ -65,7 +65,8 @@ func NewCrossLayer(sess *qoe.Session, opts ...Option) *CrossLayer {
 //	  ├─ UL PDU dedup + index      │
 //	  ├─ DL PDU dedup + index      ├─ barrier ─┬─ UL long-jump mapping
 //	  ├─ packet split (UL/DL)      │           ├─ DL long-jump mapping
-//	  └─ radio coverage audit     ─┘           └─ trace cross-check
+//	  ├─ radio coverage audit      │           └─ trace cross-check
+//	  └─ time-ordered PDU view    ─┘
 //	                                                └─ deterministic merge
 //
 // Determinism: every stage computes a pure function of the session; the
@@ -99,6 +100,7 @@ func newCrossLayerParallel(sess *qoe.Session) *CrossLayer {
 		})
 		run(func() { c.ulPackets, c.dlPackets = splitPackets(sess) })
 		run(func() { covWarns = radioCoverageWarnings(sess) })
+		run(func() { c.timeline = newPDUTimeline(sess.Radio) })
 	}
 	wg.Wait()
 
@@ -127,8 +129,10 @@ func newCrossLayerParallel(sess *qoe.Session) *CrossLayer {
 	return c
 }
 
-// newCrossLayerSerial is the seed analyzer, preserved verbatim (single
-// goroutine, linear resync scans) as the reference implementation.
+// newCrossLayerSerial keeps the original analyzer's single-goroutine dedup and
+// linear-resync mapping as the reference for the parallel engine. It shares
+// the time-ordered PDU view with the parallel engine, so it is not a
+// reference for BreakdownWindow; breakdownWindowRef in the tests is.
 func newCrossLayerSerial(sess *qoe.Session) *CrossLayer {
 	c := &CrossLayer{Session: sess}
 	defer func() {
@@ -147,6 +151,7 @@ func newCrossLayerSerial(sess *qoe.Session) *CrossLayer {
 		return c
 	}
 	c.Warnings = append(c.Warnings, radioCoverageWarnings(sess)...)
+	c.timeline = newPDUTimeline(sess.Radio)
 	c.ULPDUs = dedupPDUs(directionPDUs(sess.Radio.PDUs, radio.Uplink))
 	c.DLPDUs = dedupPDUs(directionPDUs(sess.Radio.PDUs, radio.Downlink))
 	c.ulPackets, c.dlPackets = splitPackets(sess)

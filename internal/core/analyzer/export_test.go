@@ -19,3 +19,6 @@ var NewCrossLayerParallelForTest = newCrossLayerParallel
 
 // SplitPacketsForTest exposes the capture UL/DL partition for benchmarks.
 var SplitPacketsForTest = splitPackets
+
+// BreakdownWindowRefForTest is the original full-scan BreakdownWindow.
+var BreakdownWindowRefForTest = breakdownWindowRef

@@ -59,6 +59,7 @@ type Conn struct {
 	dupAcks  int
 	// retransmit state
 	rtoTimer    simtime.Event
+	rtoFn       func() // c.onRTO, bound once so re-arming does not allocate
 	rto         time.Duration
 	srtt        time.Duration
 	rttvar      time.Duration
@@ -93,7 +94,7 @@ type Conn struct {
 
 func newConn(s *Stack, local, remote Endpoint) *Conn {
 	iss := uint32(s.k.Rand().Int63()) | 1
-	return &Conn{
+	c := &Conn{
 		stack:    s,
 		key:      FlowKey{Src: local, Dst: remote, Proto: ProtoTCP},
 		iss:      iss,
@@ -106,6 +107,8 @@ func newConn(s *Stack, local, remote Endpoint) *Conn {
 		rto:      initialRTO,
 		ooo:      make(map[uint32][]byte),
 	}
+	c.rtoFn = c.onRTO
+	return c
 }
 
 // Local and Remote return the connection endpoints.
@@ -173,18 +176,54 @@ func (c *Conn) acceptSYN(p *Packet) {
 // Send queues stream data for transmission. Data sent before the handshake
 // completes is buffered.
 func (c *Conn) Send(data []byte) {
-	if c.state == stDone || c.closeAfter {
-		return
-	}
-	if len(c.buf)+len(data) > maxSendBacklog {
-		// The flow never drained (e.g. the path is blackholed under fault
-		// injection). Reset the connection instead of growing without bound;
-		// the app's OnClose callback sees the failure and can retry.
+	switch c.admit(len(data)) {
+	case admitOK:
+		copy(c.grow(len(data)), data)
+		c.trySend()
+	case admitOverflow:
 		c.Abort()
-		return
 	}
-	c.buf = append(c.buf, data...)
-	c.trySend()
+}
+
+// admitResult is the send buffer's verdict on n more bytes.
+type admitResult int
+
+const (
+	admitOK       admitResult = iota
+	admitRefused              // the app already closed: drop the bytes
+	admitOverflow             // over maxSendBacklog: the caller must Abort
+)
+
+// admit decides whether n more bytes may be queued. On overflow the flow
+// never drained (e.g. the path is blackholed under fault injection): the
+// caller resets the connection instead of growing without bound, and the
+// app's OnClose callback sees the failure and can retry.
+func (c *Conn) admit(n int) admitResult {
+	if c.state == stDone || c.closeAfter {
+		return admitRefused
+	}
+	if len(c.buf)+n > maxSendBacklog {
+		return admitOverflow
+	}
+	return admitOK
+}
+
+// grow extends the send buffer by n bytes and returns them for the caller
+// to fill before the next trySend. The tail is written in place when it
+// fits. Otherwise the live bytes move to a fresh array of capacity
+// max(l+n, 2l), so the first write into an empty buffer allocates exactly
+// n. Growth never compacts in place: emitted segments alias the old array
+// and must keep their bytes.
+func (c *Conn) grow(n int) []byte {
+	l := len(c.buf)
+	if l+n <= cap(c.buf) {
+		c.buf = c.buf[:l+n]
+		return c.buf[l:]
+	}
+	nb := make([]byte, l+n, max(l+n, 2*l))
+	copy(nb, c.buf)
+	c.buf = nb
+	return nb[l:]
 }
 
 // Close closes the sending direction once buffered data drains; the
@@ -272,11 +311,12 @@ func (c *Conn) trySend() {
 			break
 		}
 		off := inFlight
-		// Zero-copy: the segment aliases the send buffer. Safe because the
-		// buffer's backing array is only ever appended past len (Send) and
-		// consumed by forward reslicing (ACKs) — emitted bytes are never
-		// overwritten — and every consumer (RLC head copy, wire marshal,
-		// receive-side reassembly) copies what it keeps.
+		// Zero-copy: the segment aliases the send buffer, whose bytes are
+		// appended past len, moved on growth, never overwritten (grow), and
+		// consumed by forward reslicing (ACKs). So a segment's bytes stay
+		// valid for as long as anyone holds them: the RLC head copy and the
+		// wire marshal read them, and the peer's MsgConn may hand them to
+		// OnMessage without copying.
 		seg := c.buf[off : off+n : off+n]
 		seq := c.sndNxt
 		c.emit(&Packet{Flags: FlagPSH, Seq: seq, Payload: seg})
@@ -308,7 +348,7 @@ func (c *Conn) trySend() {
 
 func (c *Conn) armRTO() {
 	c.rtoTimer.Cancel()
-	c.rtoTimer = c.stack.k.After(c.rto, c.onRTO)
+	c.rtoTimer = c.stack.k.After(c.rto, c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {
@@ -501,6 +541,11 @@ func (c *Conn) processAck(p *Packet) {
 			consume = len(c.buf) // FIN byte acked
 		}
 		c.buf = c.buf[consume:]
+		if len(c.buf) == 0 {
+			// Drained: drop the array rather than pin it for its unused
+			// tail. Emitted segments keep what they alias.
+			c.buf = nil
+		}
 		c.sndUna = ack
 		c.dupAcks = 0
 		c.rto = c.rtoBase()

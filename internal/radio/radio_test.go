@@ -106,6 +106,23 @@ func TestRRCActivityResetsDemotionTimer(t *testing.T) {
 	}
 }
 
+// Re-arming the demotion timer on activity allocates nothing: the timer
+// callback is bound once per machine and its target state lives on it.
+func TestDemotionReArmAllocatesNothing(t *testing.T) {
+	k := simtime.NewKernel(1)
+	m := NewMachine(k, Profile3G())
+	for i := 0; i < 256; i++ { // promote, then fill the kernel's event-shell free list
+		m.OnActivity()
+	}
+	if a := testing.AllocsPerRun(1000, func() { m.OnActivity() }); a != 0 {
+		t.Fatalf("OnActivity allocates %v per call, want 0", a)
+	}
+	k.RunUntil(100 * time.Second)
+	if m.State() != StatePCH {
+		t.Fatalf("state = %v, want PCH after the bound demotion chain ran", m.State())
+	}
+}
+
 func TestFACHPromotionFasterThanPCH(t *testing.T) {
 	k := simtime.NewKernel(1)
 	m := NewMachine(k, Profile3G())

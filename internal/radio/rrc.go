@@ -117,7 +117,11 @@ type Machine struct {
 	demoteScale float64
 	transitions int
 
-	demoteEv  simtime.Event
+	demoteEv simtime.Event
+	// demoteTo is the target of the pending demotion; demoteFn is
+	// m.demote, bound once so re-arming the timer does not allocate.
+	demoteTo  State
+	demoteFn  func()
 	listeners []func(Transition)
 }
 
@@ -127,7 +131,9 @@ func NewMachine(k *simtime.Kernel, prof *Profile) *Machine {
 	if err := prof.Validate(); err != nil {
 		panic("radio: invalid profile: " + err.Error())
 	}
-	return &Machine{k: k, prof: prof, state: prof.Base}
+	m := &Machine{k: k, prof: prof, state: prof.Base}
+	m.demoteFn = m.demote
+	return m
 }
 
 // Profile returns the machine's radio profile.
@@ -223,14 +229,18 @@ func (m *Machine) scheduleNextDemotion() {
 			if m.demoteScale > 0 && m.demoteScale != 1 {
 				step.Timer = time.Duration(float64(step.Timer) * m.demoteScale)
 			}
-			m.demoteEv = m.k.After(step.Timer, func() {
-				m.demoteEv = simtime.Event{}
-				m.transition(step.To, false)
-				m.scheduleNextDemotion()
-			})
+			m.demoteTo = step.To
+			m.demoteEv = m.k.After(step.Timer, m.demoteFn)
 			return
 		}
 	}
+}
+
+// demote fires the pending demotion and arms the next step of the chain.
+func (m *Machine) demote() {
+	m.demoteEv = simtime.Event{}
+	m.transition(m.demoteTo, false)
+	m.scheduleNextDemotion()
 }
 
 // Params returns the StateParams of the current state.
