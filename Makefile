@@ -141,8 +141,9 @@ bench-qoemon:
 # Every per-PR benchmark record in one pass.
 bench-all: bench bench-analyzer bench-fleet bench-remedy bench-qoestore bench-qoemon
 
-# Serial-vs-parallel analyzer equivalence over the whole experiment
-# registry (the default test run covers a fast subset).
+# Every experiment's rendered output and values against sha256 digests
+# recorded from the original serial analyzer, over the whole registry (the
+# default test run covers a fast subset).
 analyzer-golden:
 	ANALYZER_GOLDEN_FULL=1 $(GO) test -run TestAnalyzerEngineGolden -v ./internal/experiments/
 

@@ -13,10 +13,6 @@
 //	qoedoctor -pcap trace.pcap -qxdm radio.json   # save raw logs
 //	qoedoctor -trace run.json -report             # cross-layer trace + metrics
 //
-// -analyzer selects the cross-layer analyzer engine: the default "parallel"
-// runs the indexed concurrent pipeline; "serial" runs the single-threaded
-// reference implementation (their output is byte-identical).
-//
 // -trace writes the run's cross-layer span trace as Chrome trace_event JSON
 // (open in chrome://tracing or Perfetto, one track per layer); -trace-csv
 // writes the same events as CSV. -report prints the metrics registry
@@ -79,19 +75,7 @@ func main() {
 	doReport := flag.Bool("report", false, "print the metrics registry snapshot as a table")
 	reportJSON := flag.String("report-json", "", "write the metrics snapshot as NDJSON to this file (\"-\" = stdout)")
 	doProfile := flag.Bool("profile", false, "print wall-clock time per kernel callback site")
-	engine := flag.String("analyzer", "parallel", "analyzer engine: parallel (indexed, concurrent stages) | serial (reference)")
 	flag.Parse()
-
-	var engineOpt analyzer.Option
-	switch *engine {
-	case "parallel", "":
-		engineOpt = analyzer.WithEngine(analyzer.EngineParallel)
-	case "serial":
-		engineOpt = analyzer.WithEngine(analyzer.EngineSerial)
-	default:
-		fmt.Fprintf(os.Stderr, "qoedoctor: unknown analyzer engine %q (parallel | serial)\n", *engine)
-		os.Exit(1)
-	}
 
 	plan := &faults.Plan{}
 	if *loss > 0 {
@@ -140,7 +124,7 @@ func main() {
 	}
 
 	b.CloseObs()
-	report(b, log, *doReport, engineOpt)
+	report(b, log, *doReport)
 
 	if *traceOut != "" {
 		writeOrDie(*traceOut, func(w io.Writer) error { return obs.WriteChromeTrace(w, b.Trace.Events()) })
@@ -290,10 +274,10 @@ func runBrowse(b *testbed.Bed, log *qoe.BehaviorLog, reps int) {
 }
 
 // report prints the multi-layer analysis.
-func report(b *testbed.Bed, log *qoe.BehaviorLog, showMetrics bool, engineOpt analyzer.Option) {
+func report(b *testbed.Bed, log *qoe.BehaviorLog, showMetrics bool) {
 	sess := b.Session(log)
 	app := analyzer.AnalyzeApp(log)
-	cl := analyzer.NewCrossLayer(sess, engineOpt)
+	cl := analyzer.NewCrossLayer(sess)
 
 	// Surface analyzer data-quality warnings in the default output and the
 	// metrics snapshot; previously only the faults experiment looked at them.

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/cliconfig"
-	"repro/internal/core/analyzer"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/qoestore"
@@ -133,7 +132,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	throttle := fs.Float64("throttle", cfg.ThrottleBps, "per-UE downlink carrier throttle in bit/s (0 = none)")
 	remedyOn := fs.Bool("remedy", cfg.Remedy != nil, "enable the closed-loop remediation controller")
 	remedyObserve := fs.Bool("remedy-observe", cfg.Remedy != nil && cfg.Remedy.Observe, "diagnose without actuating (requires -remedy)")
-	engine := fs.String("analyzer", defStr(cfg.Analyzer, "parallel"), "analyzer engine: parallel | serial")
 	traceOut := fs.String("trace", "", "write a merged Chrome trace (one process per UE) to this file")
 	emit := fs.String("emit", "", "stream QoE events to a qoeserve URL (e.g. http://127.0.0.1:8711)")
 	emitSource := fs.String("emit-source", "", "source name for emitted events (default fleet-<seed>)")
@@ -180,14 +178,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	opts := []fleet.Option{fleet.WithHorizon(*horizon)}
-	switch *engine {
-	case "parallel", "":
-		opts = append(opts, fleet.WithEngine(analyzer.EngineParallel))
-	case "serial":
-		opts = append(opts, fleet.WithEngine(analyzer.EngineSerial))
-	default:
-		return fmt.Errorf("unknown analyzer engine %q (parallel | serial)", *engine)
-	}
 	if *traceOut != "" || *emit != "" {
 		opts = append(opts, fleet.WithTrace())
 	}

@@ -37,7 +37,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"bad network", []string{"-network", "5g"}, "unknown network"},
 		{"bad gains", []string{"-gains", "fast"}, "bad -gains"},
 		{"negative gains", []string{"-gains", "-1:2"}, "bad -gains"},
-		{"bad engine", []string{"-analyzer", "quantum"}, "unknown analyzer engine"},
 		{"zero cells", []string{"-cells", "0"}, "-cells must be at least 1"},
 		{"negative mobility", []string{"-mobility", "-3"}, "-mobility must not be negative"},
 		{"mobility without cells", []string{"-mobility", "10"}, "-mobility needs a multi-cell topology"},

@@ -113,9 +113,6 @@ type Scenario struct {
 
 	// Remediation control plane (nil = controller-free).
 	Remedy *Remedy `json:"remedy,omitempty"`
-
-	// Tooling.
-	Analyzer string `json:"analyzer,omitempty"` // parallel | serial
 }
 
 // Params maps the scenario onto the experiment-package knobs.

@@ -34,7 +34,6 @@ func sample() Scenario {
 			DisableRRCRetune: true,
 			Cells:            []int{0, 2},
 		},
-		Analyzer: "parallel",
 	}
 }
 
@@ -87,8 +86,13 @@ func TestLoadFileAndStdin(t *testing.T) {
 		t.Fatalf("Load(\"\") = %+v, %v", zero, err)
 	}
 
-	if _, err := Load("-", strings.NewReader(`{"uez": 4}`)); err == nil {
-		t.Fatal("unknown field accepted silently")
+	// "analyzer" was a real key (the analyzer engine choice) until the
+	// engine became fixed; old configs naming it must fail, not run silently.
+	for _, key := range []string{"uez", "analyzer"} {
+		_, err := Load("-", strings.NewReader(`{"`+key+`": "serial"}`))
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Fatalf("unknown field %q: err = %v, want an error naming it", key, err)
+		}
 	}
 	if _, err := Load("-", strings.NewReader(`{"horizon": true}`)); err == nil {
 		t.Fatal("bad duration type accepted")

@@ -106,25 +106,6 @@ func TestEngineDegenerateSessions(t *testing.T) {
 	}
 }
 
-// WithEngine selects the implementation per call: an explicit serial
-// selection must reproduce the serial reference exactly, and the default
-// (no option) must be the parallel engine.
-func TestWithEngineDispatch(t *testing.T) {
-	sess := browseSession(16, radio.ProfileLTE(), 2, false)
-	serial := analyzer.NewCrossLayer(sess, analyzer.WithEngine(analyzer.EngineSerial))
-	want := analyzer.NewCrossLayerSerialForTest(sess)
-	if !reflect.DeepEqual(serial.Warnings, want.Warnings) ||
-		!reflect.DeepEqual(serial.ULMap, want.ULMap) || !reflect.DeepEqual(serial.DLMap, want.DLMap) {
-		t.Fatal("WithEngine(EngineSerial) did not dispatch to the serial engine")
-	}
-	def := analyzer.NewCrossLayer(sess)
-	par := analyzer.NewCrossLayer(sess, analyzer.WithEngine(analyzer.EngineParallel))
-	if !reflect.DeepEqual(def.Warnings, par.Warnings) ||
-		!reflect.DeepEqual(def.ULMap, par.ULMap) || !reflect.DeepEqual(def.DLMap, par.DLMap) {
-		t.Fatal("default engine diverges from explicit WithEngine(EngineParallel)")
-	}
-}
-
 // Analyze/Wait returns the same analysis as the synchronous call.
 func TestAnalyzeAsync(t *testing.T) {
 	sess := browseSession(16, radio.Profile3G(), 2, false)

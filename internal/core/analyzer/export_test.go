@@ -2,20 +2,19 @@ package analyzer
 
 import "repro/internal/qxdm"
 
-// Hooks for external tests (package analyzer_test), which need the seed
-// linear mapper and the engine internals to prove equivalence.
+// Hooks for external tests (package analyzer_test), which need the original
+// linear mapper and serial engine to prove equivalence.
 
-// LongJumpMapLinear exposes the seed reference mapper.
+// LongJumpMapLinear exposes the original reference mapper.
 func LongJumpMapLinear(packets []MappedPacket, pdus []qxdm.PDURecord) MappingResult {
 	return longJumpMapLinear(packets, pdus)
 }
 
-// NewCrossLayerSerialForTest runs the seed engine directly, regardless of
-// the process-wide engine selection.
+// NewCrossLayerSerialForTest runs the original serial engine.
 var NewCrossLayerSerialForTest = newCrossLayerSerial
 
-// NewCrossLayerParallelForTest runs the indexed concurrent engine directly.
-var NewCrossLayerParallelForTest = newCrossLayerParallel
+// NewCrossLayerParallelForTest runs the indexed concurrent engine.
+var NewCrossLayerParallelForTest = NewCrossLayer
 
 // SplitPacketsForTest exposes the capture UL/DL partition for benchmarks.
 var SplitPacketsForTest = splitPackets

@@ -64,9 +64,8 @@ type MappedPacket struct {
 // sequence numbers) are ignored, keeping the first transmission of each SN.
 //
 // The resync path runs over a head-byte/LI candidate index (see pduIndex)
-// instead of the seed's linear window walk; the result is bit-identical —
-// longJumpMapLinear retains the seed algorithm as the equivalence
-// reference for tests and A/B benchmarks.
+// instead of the original linear window walk; the result is bit-identical
+// to that walk, which the tests keep as the equivalence reference.
 func LongJumpMap(packets []MappedPacket, pdus []qxdm.PDURecord) MappingResult {
 	return mapIndexed(packets, buildPDUIndex(dedupPDUs(pdus)), nil)
 }
@@ -109,56 +108,6 @@ func mapIndexed(packets []MappedPacket, ix *pduIndex, reasons map[string]int) Ma
 		res.Packets[pi] = PacketMapping{Mapped: false}
 		if reasons != nil {
 			reasons[reason]++
-		}
-	}
-	return res
-}
-
-// longJumpMapLinear is the seed implementation of LongJumpMap, with the
-// O(resyncWindow) linear re-anchoring scan. It is retained verbatim as the
-// reference the indexed mapper must match bit-for-bit (property tests,
-// the serial analyzer engine, and the BENCH_PR4 A/B benchmarks).
-func longJumpMapLinear(packets []MappedPacket, pdus []qxdm.PDURecord) MappingResult {
-	dedup := dedupPDUs(pdus)
-	res := MappingResult{Total: len(packets), Packets: make([]PacketMapping, len(packets))}
-
-	cursorPDU, cursorOff := 0, 0
-	for pi, pkt := range packets {
-		if m, nextPDU, nextOff, ok := tryMap(pkt.Data, dedup, cursorPDU, cursorOff); ok {
-			res.Packets[pi] = m
-			res.Mapped++
-			cursorPDU, cursorOff = nextPDU, nextOff
-			continue
-		}
-		found := false
-		start := anchorIndex(dedup, pkt.At-resyncLead)
-		limit := start + resyncWindow
-		if limit > len(dedup) {
-			limit = len(dedup)
-		}
-	scan:
-		for j := start; j < limit; j++ {
-			if dedup[j].At > pkt.At+resyncLag {
-				break
-			}
-			starts := []int{0}
-			for _, li := range dedup[j].LI {
-				if li < dedup[j].Size {
-					starts = append(starts, li)
-				}
-			}
-			for _, off := range starts {
-				if m, nextPDU, nextOff, ok := tryMap(pkt.Data, dedup, j, off); ok {
-					res.Packets[pi] = m
-					res.Mapped++
-					cursorPDU, cursorOff = nextPDU, nextOff
-					found = true
-					break scan
-				}
-			}
-		}
-		if !found {
-			res.Packets[pi] = PacketMapping{Mapped: false}
 		}
 	}
 	return res

@@ -267,7 +267,7 @@ func accuracyWeb(seed int64, pages int) []errSample {
 // direction — photo uploads for the uplink, web page downloads for the
 // downlink — since pure-ACK packets (one short PDU each) rarely overlap a
 // capture-lost PDU and would dilute the ratio.
-func accuracyMapping(seed int64, opts ...analyzer.Option) (ul, dl float64) {
+func accuracyMapping(seed int64) (ul, dl float64) {
 	// Uplink: 3 photo posts (~380 KB each).
 	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: radio.Profile3G()})
 	b.Facebook.Connect()
@@ -288,7 +288,7 @@ func accuracyMapping(seed int64, opts ...analyzer.Option) (ul, dl float64) {
 	b.K.RunUntil(b.K.Now() + 10*time.Minute)
 	// Kick off the uplink analysis asynchronously: it overlaps the
 	// downlink bed's simulation below (the sim/analyze pipeline).
-	ulPending := b.AnalyzeAsync(log, opts...)
+	ulPending := b.AnalyzeAsync(log)
 
 	// Downlink: 8 page loads (~0.2 MB of download data each).
 	b2 := testbed.MustNew(testbed.Options{Seed: seed + 1, Profile: radio.Profile3G()})
@@ -301,13 +301,13 @@ func accuracyMapping(seed int64, opts ...analyzer.Option) (ul, dl float64) {
 	}
 	d2.LoadPages(urls, 2*time.Second, nil)
 	b2.K.RunUntil(10 * time.Minute)
-	dl = analyzer.NewCrossLayer(b2.Session(log2), opts...).DLMap.Ratio()
+	dl = analyzer.NewCrossLayer(b2.Session(log2)).DLMap.Ratio()
 	ul = ulPending.Wait().ULMap.Ratio()
 	return ul, dl
 }
 
 // RunAccuracy regenerates Table 3 and Fig. 6.
-func RunAccuracy(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunAccuracy(seed int64, p Params) *Result {
 	r := &Result{ID: "table3", Title: "Tool accuracy and overhead (Table 3, Fig. 6)"}
 
 	postErr, cpu := accuracyPostUpdates(seed, 15)
@@ -315,7 +315,7 @@ func RunAccuracy(seed int64, p Params, opts ...analyzer.Option) *Result {
 	ytInit, _ := accuracyYouTube(seed+2, []string{"a1", "b2", "c4"}, false)
 	_, ytRebuf := accuracyYouTube(seed+3, []string{"a1"}, true)
 	webErr := accuracyWeb(seed+4, 10)
-	ulMap, dlMap := accuracyMapping(seed+5, opts...)
+	ulMap, dlMap := accuracyMapping(seed + 5)
 
 	fig6 := &metrics.Table{
 		Title:   "Fig. 6: error ratio of user-perceived latency measurements",

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core/analyzer"
-
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/radio"
@@ -18,7 +16,7 @@ import (
 // study supplies the carrier-scale context (ERRANT-style cell contention)
 // that makes the RRC findings matter — promotion storms and queueing delay
 // emerge from bearers competing for one air interface.
-func RunFleetContention(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunFleetContention(seed int64, p Params) *Result {
 	res := &Result{ID: "fleet", Title: "Per-UE QoE vs cell population (fleet contention)"}
 	tbl := &metrics.Table{Headers: []string{
 		"UEs", "Sched", "Pageload p50", "Pageload p95", "RRC trans (mean)", "Energy (mean)",
@@ -45,7 +43,7 @@ func RunFleetContention(seed int64, p Params, opts ...analyzer.Option) *Result {
 				},
 				Remedy: p.Remedy,
 			}
-			rep, err := fleet.Run(scen, fleet.WithHorizon(p.horizon(5*time.Minute)), fleet.WithAnalyzer(opts...))
+			rep, err := fleet.Run(scen, fleet.WithHorizon(p.horizon(5*time.Minute)))
 			if err != nil {
 				res.Set(fmt.Sprintf("error/%s/n%d", policy, n), 1)
 				continue

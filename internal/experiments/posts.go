@@ -16,7 +16,7 @@ import (
 // postRun drives reps post uploads of one kind on one network, posting
 // every 2 seconds like the §7.2 setup, and returns the session plus the
 // logged entries.
-func postRun(seed int64, prof *radio.Profile, kind string, reps int, opts ...analyzer.Option) (*analyzer.CrossLayer, []qoe.BehaviorEntry) {
+func postRun(seed int64, prof *radio.Profile, kind string, reps int) (*analyzer.CrossLayer, []qoe.BehaviorEntry) {
 	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: prof})
 	b.Facebook.Connect()
 	b.K.RunUntil(3 * time.Second)
@@ -35,7 +35,7 @@ func postRun(seed int64, prof *radio.Profile, kind string, reps int, opts ...ana
 	}
 	run(0)
 	b.K.RunUntil(b.K.Now() + time.Duration(reps)*time.Minute)
-	cl := analyzer.NewCrossLayer(b.Session(log), opts...)
+	cl := analyzer.NewCrossLayer(b.Session(log))
 	return cl, log.ByAction("upload_post_" + kind)
 }
 
@@ -69,7 +69,7 @@ func splitOver(cl *analyzer.CrossLayer, entries []qoe.BehaviorEntry) splitStats 
 
 // RunPostBreakdown regenerates Fig. 7: device vs network delay for posting
 // 2 photos, a check-in, and a status, on C1 3G and C1 LTE.
-func RunPostBreakdown(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunPostBreakdown(seed int64, p Params) *Result {
 	r := &Result{ID: "fig7", Title: "Device and network delay breakdown for post uploads (Fig. 7)"}
 	const reps = 20
 
@@ -82,7 +82,7 @@ func RunPostBreakdown(seed int64, p Params, opts ...analyzer.Option) *Result {
 	names := []string{"C1 3G", "C1 LTE"}
 	for pi, mk := range profs {
 		for ki, kind := range kinds {
-			cl, entries := postRun(seed+int64(pi*10+ki), mk(), kind, reps, opts...)
+			cl, entries := postRun(seed+int64(pi*10+ki), mk(), kind, reps)
 			st := splitOver(cl, entries)
 			tbl.AddRow(names[pi], kind, fmtS(st.total.Mean), fmtS(st.device.Mean),
 				fmtS(st.network.Mean), fmtPct(st.netShare),
@@ -101,7 +101,7 @@ func RunPostBreakdown(seed int64, p Params, opts ...analyzer.Option) *Result {
 
 // RunRLCBreakdown regenerates Fig. 8/9: the fine-grained network latency
 // breakdown for the 2-photo upload, comparing 3G and LTE RLC behaviour.
-func RunRLCBreakdown(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunRLCBreakdown(seed int64, p Params) *Result {
 	r := &Result{ID: "fig8", Title: "Fine-grained network latency breakdown, 2-photo upload (Fig. 8/9)"}
 	const reps = 10
 
@@ -117,7 +117,7 @@ func RunRLCBreakdown(seed int64, p Params, opts ...analyzer.Option) *Result {
 	results := map[string]agg{}
 	for pi, mk := range []func() *radio.Profile{radio.Profile3G, radio.ProfileLTE} {
 		name := []string{"C1 3G", "C1 LTE"}[pi]
-		cl, entries := postRun(seed+int64(pi), mk(), facebook.PostPhotos, reps, opts...)
+		cl, entries := postRun(seed+int64(pi), mk(), facebook.PostPhotos, reps)
 		var a agg
 		for _, e := range entries {
 			if !e.Observed {

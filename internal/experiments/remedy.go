@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core/analyzer"
-
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/radio"
@@ -30,7 +28,7 @@ const (
 // listed with its diagnosis, energy cost, and the QoE movement of the UE it
 // acted on, so the experiment answers both "did closing the loop help?" and
 // "what did each action buy?".
-func RunRemedy(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunRemedy(seed int64, p Params) *Result {
 	res := &Result{ID: "remedy", Title: "Closed-loop QoE remediation (counterfactual A/B)"}
 
 	run := func(withCtl bool) (*fleet.Report, error) {
@@ -52,7 +50,7 @@ func RunRemedy(seed int64, p Params, opts ...analyzer.Option) *Result {
 				scen.Remedy = &fleet.RemedySpec{}
 			}
 		}
-		return fleet.Run(scen, fleet.WithHorizon(p.horizon(remedyHorizon)), fleet.WithAnalyzer(opts...))
+		return fleet.Run(scen, fleet.WithHorizon(p.horizon(remedyHorizon)))
 	}
 
 	base, err := run(false)

@@ -53,7 +53,7 @@ func pagesRun(seed int64, prof *radio.Profile, nPages int) (loads []float64, pro
 // RunRRCSimplify regenerates the §7.7 study: replacing the 3-state 3G RRC
 // machine (PCH/FACH/DCH) with a simplified direct-promotion design cuts web
 // page loading time (the paper measures 22.8%).
-func RunRRCSimplify(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunRRCSimplify(seed int64, p Params) *Result {
 	r := &Result{ID: "sec7.7", Title: "RRC state machine design vs page load time (§7.7)"}
 	const nPages = 12
 

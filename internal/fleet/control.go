@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the fleet's runtime-control surface: typed remedy.Actions
-// applied to live UEs at kernel-safe control points, identically in
-// single-kernel and sharded/lockstep runs.
+// applied to live UEs at kernel-safe control points, identically on one
+// shard and on many.
 //
 // Control hooks fire between kernel events (simtime.Kernel.SetControlHook),
 // so a hook that decides nothing schedules nothing — a run with an idle or
@@ -22,14 +22,14 @@ import (
 // after ActionLatency (the control loop's sense-decide-actuate delay), so
 // actuation composes with the event queue like any other model behaviour.
 //
-// In a sharded fleet each shard's kernel carries its own hook and a hook
-// invocation only sees that shard's UEs, so per-UE decisions stay
-// shard-local and goroutine-safe. Actions targeting a UE on another shard
-// (the cross-cell coordination path) ride the lockstep epoch barrier: they
-// are parked in a mailbox, canonically sorted by the serial coordinator,
-// and scheduled on the target kernel at the epoch boundary — the same
-// staleness bound the airtime exchange already obeys, so byte-determinism
-// at any worker count is preserved.
+// Each shard's kernel carries its own hook and a hook invocation only sees
+// that shard's UEs, so per-UE decisions stay shard-local and
+// goroutine-safe. Actions targeting a UE on another shard (the cross-cell
+// coordination path) ride the lockstep epoch barrier: they are parked in a
+// mailbox, canonically sorted by the serial coordinator, and scheduled on
+// the target kernel at the epoch boundary — the same staleness bound the
+// airtime exchange already obeys, so byte-determinism at any worker count
+// is preserved.
 
 // Remedy defaults, resolved by RemedySpec.resolved.
 const (
@@ -107,9 +107,8 @@ type ControlHook func(t ControlTick)
 // ControlTick is one control-hook invocation.
 type ControlTick struct {
 	At simtime.Time
-	// Shard is the firing shard (0 in single-kernel mode); UEs are the
-	// devices hosted on that shard's kernel (every UE in single-kernel
-	// mode).
+	// Shard is the firing shard; UEs are the devices hosted on that
+	// shard's kernel (every UE in a one-cell fleet).
 	Shard int
 	UEs   []*UE
 	f     *Fleet
@@ -122,7 +121,7 @@ type ControlTick struct {
 // bound every other cross-shard effect obeys.
 func (t ControlTick) Apply(ue *UE, a remedy.Action) {
 	lat := t.f.remedySpecResolved().ActionLatency
-	if len(t.f.Shards) == 0 || ue.Shard == t.Shard {
+	if ue.Shard == t.Shard {
 		decidedAt := t.At
 		ue.K.At(t.At+lat, func() { t.f.applyAction(ue, a, decidedAt) })
 		return
@@ -201,12 +200,6 @@ func (f *Fleet) installControl() {
 	period := f.hooks[0].every
 	for _, h := range f.hooks[1:] {
 		period = gcdTime(period, h.every)
-	}
-	if f.K != nil {
-		f.K.SetControlHook(period, func(now simtime.Time) {
-			f.fireHooks(0, f.UEs, now)
-		})
-		return
 	}
 	for s, sh := range f.Shards {
 		s, sh := s, sh

@@ -2,6 +2,8 @@ package fleet_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -14,10 +16,19 @@ import (
 	"repro/internal/testbed"
 )
 
-// TestSingleUEMatchesBed is the PR's golden gate: the legacy Bed path
-// (flat Options through testbed.New) and a 1-UE fleet build of the same
-// scenario must produce byte-identical outputs — QoE report, Chrome trace
-// export, behavior log, and collected radio/packet logs.
+// Digests of TestSingleUEMatchesBed's QoE report Render() and Chrome trace
+// export, recorded when a one-cell fleet still ran on its own single-kernel
+// path instead of as a one-shard lockstep.
+const (
+	singleUEReportSHA = "dd14488b44a819e0fdf64ae133a57b316682e563827d2ea4bd72a9d0b6730daa"
+	singleUETraceSHA  = "37c6e08ea619ba834dc8f8595984b7a632a44059b1008da4cd6c3b05940f7764"
+)
+
+// TestSingleUEMatchesBed: the Bed path (flat Options through testbed.New)
+// and a 1-UE fleet build of the same scenario must produce byte-identical
+// outputs — QoE report, Chrome trace export, behavior log, and collected
+// radio/packet logs — and the report and trace must match the pinned
+// digests.
 func TestSingleUEMatchesBed(t *testing.T) {
 	const seed = 7
 	const horizon = 90 * time.Second
@@ -38,8 +49,12 @@ func TestSingleUEMatchesBed(t *testing.T) {
 	f.CloseObs()
 	ue := f.UEs[0]
 
-	if got, want := f.Report().Render(), bed.Fleet().Report().Render(); got != want {
-		t.Errorf("QoE reports diverge:\n--- bed ---\n%s\n--- fleet ---\n%s", want, got)
+	report := f.Report().Render()
+	if want := bed.Fleet().Report().Render(); report != want {
+		t.Errorf("QoE reports diverge:\n--- bed ---\n%s\n--- fleet ---\n%s", want, report)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(report))); got != singleUEReportSHA {
+		t.Errorf("report digest %s, want %s:\n%s", got, singleUEReportSHA, report)
 	}
 	var bedTrace, fleetTrace bytes.Buffer
 	if err := obs.WriteChromeTrace(&bedTrace, bed.Trace.Events()); err != nil {
@@ -50,6 +65,9 @@ func TestSingleUEMatchesBed(t *testing.T) {
 	}
 	if !bytes.Equal(bedTrace.Bytes(), fleetTrace.Bytes()) {
 		t.Errorf("trace exports diverge: %d vs %d bytes", bedTrace.Len(), fleetTrace.Len())
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(fleetTrace.Bytes())); got != singleUETraceSHA {
+		t.Errorf("trace digest %s, want %s", got, singleUETraceSHA)
 	}
 	if !reflect.DeepEqual(bed.Log.Entries, ue.Log.Entries) {
 		t.Errorf("behavior logs diverge: %d vs %d entries", len(bed.Log.Entries), len(ue.Log.Entries))

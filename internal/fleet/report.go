@@ -70,7 +70,7 @@ type Report struct {
 	Seed     int64
 	Policy   radio.SchedPolicy
 	Workload string
-	// Cells is the number of cells simulated (1 = legacy single cell).
+	// Cells is the number of cells simulated (1 = the single-cell layout).
 	Cells int
 	// Horizon is the virtual time the simulation had reached when the
 	// report was taken (the last processed event's time).

@@ -9,23 +9,22 @@ import (
 	"repro/internal/simtime"
 )
 
-// Fleet is an assembled multi-UE lab. In the legacy single-cell mode one
-// kernel and one shared cell host every UE (K and Cell are set, Shards is
-// nil). With a multi-cell Topology the fleet is sharded — one kernel per
-// cell, advanced in lockstep epochs (Shards is set, K and Cell are nil).
-// Build it from a Scenario, Drive the workload (or drive the UEs
+// Fleet is an assembled multi-UE lab: one shard per cell, each shard an
+// event kernel hosting the UEs homed on that cell, advanced in lockstep
+// epochs. Build it from a Scenario, Drive the workload (or drive the UEs
 // yourself), RunTo the horizon, then Report.
 type Fleet struct {
-	K    *simtime.Kernel
-	Cell *radio.Cell
-	UEs  []*UE
-	// Shards and Topo are set for multi-cell scenarios: one shard per
-	// topology cell, synchronized at X2Latency lookahead barriers.
+	// K is Shards[0].K for a one-cell fleet, so a caller can drive its only
+	// kernel directly; nil when the fleet is sharded across cells.
+	K   *simtime.Kernel
+	UEs []*UE
+	// Shards holds one shard per cell. Topo is the multi-cell grid (nil for
+	// one cell); its X2 latency is the lockstep lookahead between shards.
 	Shards []*Shard
 	Topo   *radio.Topology
 	// Profiler is the wall-clock kernel profiler (nil unless WithProfiler).
-	// Sharded runs profile every shard kernel separately, and RunTo
-	// replaces Profiler with their merge when it returns.
+	// Every shard kernel is profiled separately, and RunTo replaces
+	// Profiler with their merge when it returns.
 	Profiler *obs.Profiler
 
 	scen Scenario
@@ -40,17 +39,16 @@ type Fleet struct {
 	controlState
 }
 
-// Build assembles a fleet without running it. UEs are constructed in spec
-// order; UE i lives at BaseAddr+i and its bearer is attached to the shared
-// cell in the same order, which is also the scheduler's tie-break order.
+// Build assembles a fleet without running it: one shard per cell, UE i
+// homed on cell i mod Cells, every shard holding local instances of all
+// cells for kernel-local handover. UEs are constructed in spec order; UE i
+// lives at BaseAddr+i and its bearer attaches to its home cell in the same
+// order, which is also the scheduler's tie-break order.
 func Build(scen Scenario, opts ...Option) (*Fleet, error) {
 	if err := scen.validate(); err != nil {
 		return nil, err
 	}
 	o := resolveOptions(opts)
-	if scen.sharded() {
-		return buildSharded(scen, o)
-	}
 	prof := scen.Cell.Profile
 	if prof == nil {
 		prof = radio.ProfileLTE()
@@ -60,21 +58,94 @@ func Build(scen Scenario, opts ...Option) (*Fleet, error) {
 		coreDelay = defaultCoreDelay(prof.Tech)
 	}
 
-	k := simtime.NewKernel(scen.Seed)
-	cell := radio.NewCell(k, scen.Cell.Policy)
-	f := &Fleet{K: k, Cell: cell, scen: scen, opts: o}
+	f := &Fleet{scen: scen, opts: o}
+	ncells := scen.cellCount()
+	if ncells > 1 {
+		ts := scen.Topology
+		f.Topo = radio.NewGridTopology(ts.Cells, ts.SpacingM)
+		if ts.X2Latency > 0 {
+			f.Topo.X2Latency = ts.X2Latency
+		}
+		if ts.PathLossExp > 0 {
+			f.Topo.PathLossExp = ts.PathLossExp
+		}
+	}
+	for s := 0; s < ncells; s++ {
+		// A one-cell fleet's kernel runs on the scenario seed itself.
+		seed := scen.Seed
+		if ncells > 1 {
+			seed = shardSeed(scen.Seed, s)
+		}
+		sh := &Shard{Index: s, K: simtime.NewKernel(seed)}
+		for c := 0; c < ncells; c++ {
+			sh.Cells = append(sh.Cells, radio.NewCellID(sh.K, scen.Cell.Policy, c))
+		}
+		f.Shards = append(f.Shards, sh)
+	}
+	if ncells == 1 {
+		f.K = f.Shards[0].K
+	}
+
 	addr := BaseAddr
 	for i, spec := range scen.UEs {
-		ue := buildUE(k, cell, prof, coreDelay, i, addr, spec, scen.Seed, o, len(scen.UEs) == 1)
+		s := i % ncells
+		sh := f.Shards[s]
+		home := s
+
+		var mover *radio.Mover
+		deviceGain := spec.Gain
+		if deviceGain <= 0 {
+			deviceGain = 1
+		}
+		buildSpec := spec
+		if scen.Mobility != nil {
+			u, v := uePos(scen.Seed, i)
+			x, y := f.Topo.HomePos(home, u, v)
+			mover = radio.NewMover(scen.Seed, i, f.Topo, scen.Mobility.SpeedMps, x, y)
+			// The bearer's initial gain is the path gain at the spawn point
+			// composed with the spec's device-quality multiplier; the roamer
+			// refreshes it every measurement tick.
+			buildSpec.Gain = f.Topo.Gain(home, x, y) * deviceGain
+		}
+
+		ue := buildUE(sh.K, sh.Cells[home], prof, coreDelay, i, addr, buildSpec, scen.Seed, o, ncells == 1 && len(scen.UEs) == 1)
+		ue.Shard = s
+		ue.HomeCell = home
+		if scen.Mobility != nil {
+			m := scen.Mobility
+			ue.Roamer = radio.NewRoamer(ue.Net.Bearer, f.Topo, sh.Cells, mover, home, radio.RoamConfig{
+				Interval:     m.Interval,
+				Hysteresis:   m.Hysteresis,
+				TTT:          m.TTT,
+				Interruption: m.Interruption,
+				DeviceGain:   deviceGain,
+			})
+			ue.Roamer.SetObs(ue.Trace, ue.Metrics)
+			ue.Roamer.Start()
+		}
+		sh.UEs = append(sh.UEs, ue)
 		f.UEs = append(f.UEs, ue)
 		addr = addr.Next()
 	}
+
 	if o.profiler {
+		// Shard kernels run concurrently, so each gets its own profiler;
+		// RunTo merges them into f.Profiler.
 		f.Profiler = obs.NewProfiler()
-		k.SetProfiler(f.Profiler)
-		for _, ue := range f.UEs {
-			ue.Profiler = f.Profiler
+		for _, sh := range f.Shards {
+			sh.prof = obs.NewProfiler()
+			sh.K.SetProfiler(sh.prof)
+			for _, ue := range sh.UEs {
+				ue.Profiler = sh.prof
+			}
 		}
+	}
+
+	f.airUL = make([][]simtime.Time, ncells)
+	f.airDL = make([][]simtime.Time, ncells)
+	for c := range f.airUL {
+		f.airUL[c] = make([]simtime.Time, ncells)
+		f.airDL[c] = make([]simtime.Time, ncells)
 	}
 	return f, nil
 }
@@ -97,25 +168,30 @@ func (f *Fleet) Drive() {
 	}
 }
 
-// RunTo advances the simulation to the horizon: directly on the single
-// kernel, or in parallel lockstep epochs (window = X2 latency) across the
-// shards. Sharded results are byte-identical at any worker count.
+// RunTo advances the simulation to the horizon in lockstep epochs across
+// the shards, in parallel. Peer shards meet every X2 latency; a lone shard
+// has no peers, so its whole run is one epoch. Results are byte-identical
+// at any worker count.
 func (f *Fleet) RunTo(horizon time.Duration) {
 	f.installControl()
-	if len(f.Shards) == 0 {
-		f.K.RunUntil(horizon)
-		return
+	window := horizon
+	if len(f.Shards) > 1 {
+		window = f.Topo.X2Latency
 	}
-	kernels := make([]*simtime.Kernel, len(f.Shards))
-	for i, sh := range f.Shards {
-		kernels[i] = sh.K
+	// A one-cell RunTo(0) has nothing to run, and Lockstep.Run rejects a
+	// zero window.
+	if window > 0 {
+		kernels := make([]*simtime.Kernel, len(f.Shards))
+		for i, sh := range f.Shards {
+			kernels[i] = sh.K
+		}
+		ls := simtime.NewLockstep(kernels, f.opts.workers)
+		ls.Run(horizon, window, func(end simtime.Time) {
+			f.exchange(window)
+			f.deliverCrossShard(end)
+		})
+		ls.Close()
 	}
-	ls := simtime.NewLockstep(kernels, f.opts.workers)
-	defer ls.Close()
-	ls.Run(horizon, f.Topo.X2Latency, func(end simtime.Time) {
-		f.exchange(end)
-		f.deliverCrossShard(end)
-	})
 	if f.Profiler != nil {
 		merged := obs.NewProfiler()
 		for _, sh := range f.Shards {
@@ -125,11 +201,9 @@ func (f *Fleet) RunTo(horizon time.Duration) {
 	}
 }
 
-// now returns the current virtual time across either mode.
+// now returns the current virtual time (every shard sits at the same
+// epoch boundary between RunTo calls).
 func (f *Fleet) now() simtime.Time {
-	if f.K != nil {
-		return f.K.Now()
-	}
 	return f.Shards[0].K.Now()
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/apps/browser"
 	"repro/internal/apps/facebook"
 	"repro/internal/apps/youtube"
-	"repro/internal/core/analyzer"
 	"repro/internal/faults"
 	"repro/internal/radio"
 )
@@ -65,10 +64,10 @@ type UESpec struct {
 	DisablePcap bool
 }
 
-// TopologySpec describes a multi-cell layout. Nil (the default) keeps the
-// legacy single shared cell on one kernel; Cells > 1 shards the simulation
-// one kernel per cell, advanced in parallel under conservative-lookahead
-// synchronization with the X2 latency as the safe window.
+// TopologySpec describes a multi-cell layout. Nil (the default) is one
+// shared cell on one kernel; Cells > 1 shards the simulation one kernel per
+// cell, advanced in parallel under conservative-lookahead synchronization
+// with the X2 latency as the safe window.
 type TopologySpec struct {
 	// Cells is the number of base-station sites (grid layout). UE i homes
 	// on cell i mod Cells.
@@ -185,8 +184,8 @@ func (s *Scenario) validate() error {
 			return fmt.Errorf("fleet: negative path-loss exponent %v", t.PathLossExp)
 		}
 		if t.Cells == 1 && (t.SpacingM > 0 || t.X2Latency > 0 || t.PathLossExp > 0) {
-			// A 1-cell topology runs on the legacy single-kernel path, where
-			// these knobs are silently meaningless — reject instead.
+			// A 1-cell topology is one shard with no peers or neighbours,
+			// where these knobs are silently meaningless — reject instead.
 			return fmt.Errorf("fleet: 1-cell topology ignores spacing/X2/path-loss settings; use Cells > 1 or drop them")
 		}
 	}
@@ -242,11 +241,10 @@ type options struct {
 	profiler bool
 	horizon  time.Duration
 	workers  int
-	analyzer []analyzer.Option
 }
 
 // Option is a run-level knob, orthogonal to the Scenario description:
-// observability sinks, the analyzer engine, the time horizon.
+// observability sinks, the time horizon, the shard worker count.
 type Option func(*options)
 
 // DefaultHorizon bounds a fleet run when WithHorizon is not given.
@@ -278,21 +276,7 @@ func WithHorizon(d time.Duration) Option {
 // WithWorkers caps the goroutines advancing shards in a sharded run
 // (<= 0 = GOMAXPROCS, 1 = fully serial). Worker count affects wall clock
 // only — results are byte-identical at any setting. No-op for
-// single-kernel runs.
+// one-cell runs.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithEngine selects the cross-layer analyzer engine for every per-UE
-// analysis in this run.
-func WithEngine(e analyzer.Engine) Option {
-	return func(o *options) { o.analyzer = append(o.analyzer, analyzer.WithEngine(e)) }
-}
-
-// WithAnalyzer appends raw analyzer options applied to every per-UE
-// analysis in this run — the pass-through form of WithEngine for callers
-// already holding []analyzer.Option (the experiment registry's engine
-// golden test threads its per-call engine selection here).
-func WithAnalyzer(opts ...analyzer.Option) Option {
-	return func(o *options) { o.analyzer = append(o.analyzer, opts...) }
 }

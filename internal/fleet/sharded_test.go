@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/qoestore"
 	"repro/internal/radio"
+	"repro/internal/testbed"
 )
 
 // stormScenario is the shared multi-cell mobility scenario: 12 UEs driving
@@ -117,34 +119,47 @@ func TestShardedStaticPinned(t *testing.T) {
 
 // TestShardedProfilerCoversEveryShard: with parallel shard workers every
 // shard kernel is profiled, and the merged profile counts each dispatched
-// event exactly once, also across successive RunTo calls.
+// event exactly once, also across successive RunTo calls. A one-cell fleet
+// (nil Topology) runs as one shard with a single epoch, so RunTo(0) must be
+// a no-op there rather than a zero lockstep window; and Bed.Profiler, which
+// qoedoctor -profile prints, must count its kernel's dispatches.
 func TestShardedProfilerCoversEveryShard(t *testing.T) {
-	scen := fleet.Scenario{
-		Seed:     5,
-		Topology: &fleet.TopologySpec{Cells: 2},
-		UEs:      fleet.UniformUEs(4),
-		Workload: fleet.BrowseWorkload{Pages: 1, ThinkTime: 5 * time.Second},
+	profiled := func(p *obs.Profiler) uint64 {
+		var n uint64
+		for _, s := range p.Sites() {
+			n += s.Count
+		}
+		return n
 	}
-	f, err := fleet.Build(scen, fleet.WithWorkers(2), fleet.WithProfiler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Drive()
-	for _, horizon := range []time.Duration{15 * time.Second, 30 * time.Second} {
-		f.RunTo(horizon)
-		var processed, profiled uint64
-		for _, sh := range f.Shards {
-			if sh.K.Processed() == 0 {
-				t.Fatalf("shard %d dispatched no events", sh.Index)
+	wl := fleet.BrowseWorkload{Pages: 1, ThinkTime: 5 * time.Second}
+	for _, topo := range []*fleet.TopologySpec{{Cells: 2}, nil} {
+		scen := fleet.Scenario{Seed: 5, Topology: topo, UEs: fleet.UniformUEs(4), Workload: wl}
+		f, err := fleet.Build(scen, fleet.WithWorkers(2), fleet.WithProfiler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Drive()
+		for _, horizon := range []time.Duration{0, 15 * time.Second, 30 * time.Second} {
+			f.RunTo(horizon)
+			var processed uint64
+			for _, sh := range f.Shards {
+				if horizon > 0 && sh.K.Processed() == 0 {
+					t.Fatalf("%d shard(s): shard %d dispatched no events by %v", len(f.Shards), sh.Index, horizon)
+				}
+				processed += sh.K.Processed()
 			}
-			processed += sh.K.Processed()
+			if got := profiled(f.Profiler); got != processed {
+				t.Fatalf("%d shard(s) at %v: profiler counted %d dispatches, shard kernels processed %d",
+					len(f.Shards), horizon, got, processed)
+			}
 		}
-		for _, s := range f.Profiler.Sites() {
-			profiled += s.Count
-		}
-		if profiled != processed {
-			t.Fatalf("at %v: profiler counted %d dispatches, shard kernels processed %d", horizon, profiled, processed)
-		}
+	}
+
+	b := testbed.MustNew(testbed.Options{Seed: 5, Profiler: true})
+	wl.Start(b.UE)
+	b.RunTo(15 * time.Second)
+	if got := profiled(b.Profiler); got == 0 || got != b.K.Processed() {
+		t.Fatalf("Bed.Profiler counted %d dispatches, kernel processed %d", got, b.K.Processed())
 	}
 }
 

@@ -36,9 +36,9 @@ type UE struct {
 	Name  string
 	Addr  netip.Addr
 
-	// Shard and HomeCell locate the UE in a sharded multi-cell fleet (both
-	// zero in the legacy single-cell mode). Roamer, when set, drives the
-	// UE's mobility and handover state machine.
+	// Shard and HomeCell locate the UE among the fleet's shards and cells
+	// (both zero in a one-cell fleet). Roamer, when set, drives the UE's
+	// mobility and handover state machine.
 	Shard    int
 	HomeCell int
 	Roamer   *radio.Roamer
@@ -90,8 +90,7 @@ type UE struct {
 	// which page) independently of the kernel's model randomness.
 	workState uint64
 
-	analyzerOpts []analyzer.Option
-	obsClosed    bool
+	obsClosed bool
 }
 
 // defaultCoreDelay returns the one-way core latency per technology,
@@ -124,9 +123,8 @@ func buildUE(k *simtime.Kernel, cell *radio.Cell, prof *radio.Profile, coreDelay
 	ue := &UE{
 		Index: index, Name: name, Addr: addr,
 		K: k, Net: net, Servers: servers, Resolver: resolver,
-		Log:          &qoe.BehaviorLog{},
-		workState:    uint64(seed)*0x9e3779b97f4a7c15 + uint64(index+1),
-		analyzerOpts: o.analyzer,
+		Log:       &qoe.BehaviorLog{},
+		workState: uint64(seed)*0x9e3779b97f4a7c15 + uint64(index+1),
 	}
 	if !spec.Faults.Empty() {
 		ue.FaultUL = spec.Faults.Build(k, faults.Uplink, seed)
@@ -221,8 +219,8 @@ func (ue *UE) CloseObs() {
 }
 
 // ServingCellAt returns the UE's serving cell ID at virtual time t: the
-// roamer's history for mobile UEs, the home cell otherwise (0 in the
-// legacy single-cell mode).
+// roamer's history for mobile UEs, the home cell otherwise (0 in a
+// one-cell fleet).
 func (ue *UE) ServingCellAt(t simtime.Time) int {
 	if ue.Roamer != nil {
 		return ue.Roamer.ServingAt(t)
@@ -250,17 +248,16 @@ func (ue *UE) Session(log *qoe.BehaviorLog) *qoe.Session {
 	return s
 }
 
-// Analyze runs the cross-layer analyzer over the UE's collected logs, with
-// the engine the run was configured with (plus any per-call overrides).
-func (ue *UE) Analyze(log *qoe.BehaviorLog, opts ...analyzer.Option) *analyzer.CrossLayer {
-	return analyzer.NewCrossLayer(ue.Session(log), append(ue.analyzerOpts, opts...)...)
+// Analyze runs the cross-layer analyzer over the UE's collected logs.
+func (ue *UE) Analyze(log *qoe.BehaviorLog) *analyzer.CrossLayer {
+	return analyzer.NewCrossLayer(ue.Session(log))
 }
 
 // AnalyzeAsync starts the analysis on its own goroutine so the caller can
 // overlap it with the next run's simulation (the sweep pipeline shape);
 // Wait on the returned handle for the result.
-func (ue *UE) AnalyzeAsync(log *qoe.BehaviorLog, opts ...analyzer.Option) *analyzer.Pending {
-	return analyzer.Analyze(ue.Session(log), append(ue.analyzerOpts, opts...)...)
+func (ue *UE) AnalyzeAsync(log *qoe.BehaviorLog) *analyzer.Pending {
+	return analyzer.Analyze(ue.Session(log))
 }
 
 // Throttle installs carrier rate limiting on this UE's downlink: traffic
